@@ -1,7 +1,8 @@
 #!/bin/bash
 # CI entry point: builds and tests the three configurations the project
 # promises to keep green —
-#   release   plain Release, all targets (tests + benches + examples)
+#   release   plain Release, all targets (tests + benches + examples),
+#             bench smoke gates and the perfbench self-test
 #   asan      ASan + UBSan, tests only
 #   tsan      TSan, tests only (failover/scrub/scan concurrency races)
 #
@@ -58,6 +59,11 @@ for config in "${configs[@]}"; do
       # with zero failed queries while compactions run in background.
       build-ci/release/bench/bench_ingest --smoke
       echo "=== [release] bench smoke OK ==="
+      # The end-to-end benchmark builds from its own CMake project
+      # against the public QueryMetrics / IoStats::Snapshot API; its
+      # self-test builds it and checks each workload's answers.
+      echo "=== [release] perfbench self-test ==="
+      python3 perfbench/run.py --self-test
       ;;
     asan)
       run_config asan \

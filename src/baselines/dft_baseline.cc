@@ -127,12 +127,7 @@ Status DftBaseline::TopK(const std::vector<geo::Point>& query, int k,
     core::QueryMetrics round;
     Status s = Threshold(query, threshold, measure, &found, &round);
     if (!s.ok()) return s;
-    m->retrieved += round.retrieved;
-    m->candidates += round.candidates;
-    m->refined += round.refined;
-    m->pruning_ms += round.pruning_ms;
-    m->scan_ms += round.scan_ms;
-    m->refine_ms += round.refine_ms;
+    m->Merge(round, core::QueryMetrics::Gauges::kKeepFirst);
     if (found.size() >= static_cast<size_t>(k) || threshold > 0.5) {
       if (found.size() > static_cast<size_t>(k)) {
         found.resize(static_cast<size_t>(k));
@@ -144,6 +139,7 @@ Status DftBaseline::TopK(const std::vector<geo::Point>& query, int k,
     }
     threshold *= 2.0;
   }
+  m->results = results->size();  // rounds ran out: no answer
   m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }

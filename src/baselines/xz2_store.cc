@@ -166,13 +166,7 @@ Status Xz2Store::TopK(const std::vector<geo::Point>& query, int k,
     core::QueryMetrics round_metrics;
     Status s = Threshold(query, eps, measure, &found, &round_metrics);
     if (!s.ok()) return s;
-    m->pruning_ms += round_metrics.pruning_ms;
-    m->scan_ms += round_metrics.scan_ms;
-    m->refine_ms += round_metrics.refine_ms;
-    m->retrieved += round_metrics.retrieved;
-    m->candidates += round_metrics.candidates;
-    m->refined += round_metrics.refined;
-    m->index_values += round_metrics.index_values;
+    m->Merge(round_metrics, core::QueryMetrics::Gauges::kKeepFirst);
     if (found.size() >= static_cast<size_t>(k) || eps > 0.5) {
       if (found.size() > static_cast<size_t>(k)) {
         found.resize(static_cast<size_t>(k));
@@ -184,6 +178,7 @@ Status Xz2Store::TopK(const std::vector<geo::Point>& query, int k,
     }
     eps *= 2.0;
   }
+  m->results = results->size();  // rounds ran out: no answer
   m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }

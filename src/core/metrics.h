@@ -5,139 +5,153 @@
 #ifndef TRASS_CORE_METRICS_H_
 #define TRASS_CORE_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 namespace trass {
 namespace core {
 
+/// How a metric combines when one query folds another part's metrics
+/// into its own (shard answers into a coordinator rollup, join probes
+/// into the join, top-k rounds into the top-k).
+enum class MetricFold {
+  kSum,    // counters and ms fields
+  kMax,    // per-query levels: refine parallelism, ingest watermark
+  kOr,     // degradation flags: one partial part makes the whole partial
+  kGauge,  // point-in-time level; see QueryMetrics::Gauges
+};
+
+// The QueryMetrics field list, X(type, name, fold) once per field in
+// declaration (and wire) order. The members, QueryMetrics::Merge and the
+// shard wire codec (serve/wire.cc) are all generated from it, so a field
+// is added here and nowhere else.
+//
+// Timings are ms. The refine_*_ms breakdown is CPU time summed across
+// refine workers (with refine_threads > 1 it can exceed the wall-clock
+// refine_ms).
+//
+// `index_values` counts the index values the query submitted to store
+// scans. For threshold/range/join these are the *present* values (ones
+// the value directory holds) inside the final scanned ranges, after
+// directory intersection and the filter tier; for top-k it counts
+// drained index spaces handed to a store round-trip, less those the
+// filter tier pruned at drain time. Either way an index value counts iff
+// the store was asked to read it.
+//
+// `refined` counts candidates the refinement engine (core/refiner.h)
+// decoded; of those, `lb_rejected` were disposed of by the lower-bound
+// cascade and `refine_dp_runs` ran the exact O(n*m) DP.
+//
+// Degraded mode (RegionStore::RegionOptions): `partial` means one or
+// more store regions (or coordinator shards) were skipped and the answer
+// may miss their rows. `replica_failovers` are reads that moved to
+// another replica after a fault; a query can fail over and still be
+// complete. The stop flags record why an allow_partial query stopped
+// (QueryOptions); without allow_partial the reason is the returned
+// Status instead.
+//
+// The shard/hedge/breaker fields describe the scatter-gather tier
+// (serve/coordinator.h) and are zero on single-store queries.
+// `shards_skipped` counts shards missing from the merge (non-zero only
+// with allow_partial, and always with `partial` set); `shard_failovers`
+// counts missing shards whose key space replica shards fully covered, so
+// the answer stays complete.
+//
+// The filter fields are zero with the filter tier (src/filter/) off.
+// The block-cache and readahead fields are the store scans' IoStats
+// deltas (see kv::ScanReport; approximate under concurrent compactions
+// or queries on the same replica).
+//
+// `ingest_watermark`: every trajectory with ticket <= this value was
+// fully visible to the query (see TrassStore::SubmitAsync).
+// `read_only_replicas` counts replicas wedged read-only by a background
+// error when the query started; reads still succeed, but the answer may
+// predate unresumed ingest.
+#define TRASS_QUERY_METRICS(X)                                            \
+  X(double, pruning_ms, kSum)     /* global pruning (range generation) */ \
+  X(double, scan_ms, kSum)        /* store scan incl. pushdown filter */  \
+  X(double, refine_ms, kSum)      /* exact similarity computations */     \
+  X(double, total_ms, kSum)                                               \
+  X(uint64_t, scan_ranges, kSum)  /* key ranges issued to the store */    \
+  X(uint64_t, index_values, kSum)                                         \
+  X(uint64_t, retrieved, kSum)    /* rows scanned in the store (I/O) */   \
+  X(uint64_t, candidates, kSum)   /* rows surviving local filtering */    \
+  X(uint64_t, refined, kSum)      /* candidates entering refinement */    \
+  X(uint64_t, results, kSum)      /* final answers */                     \
+  X(uint64_t, lb_rejected, kSum)  /* cascade proved dist > bound */       \
+  X(uint64_t, refine_dp_runs, kSum)                                       \
+  X(uint64_t, refine_threads, kMax)                                       \
+  X(double, refine_decode_ms, kSum) /* row decode + SoA flatten */        \
+  X(double, refine_lb_ms, kSum)     /* lower-bound cascade */             \
+  X(double, refine_dp_ms, kSum)     /* exact DP kernels */                \
+  X(bool, partial, kOr)                                                   \
+  X(uint64_t, skipped_regions, kSum) /* region-skip events */             \
+  X(uint64_t, scan_retries, kSum)    /* scan attempts beyond the first */ \
+  X(uint64_t, replica_failovers, kSum)                                    \
+  X(bool, deadline_expired, kOr)   /* stopped at the deadline */          \
+  X(bool, cancelled, kOr)          /* stopped via QueryOptions::cancel */ \
+  X(bool, budget_exhausted, kOr)   /* stopped at max_candidates */        \
+  X(double, admission_wait_ms, kSum) /* queued in admission control */    \
+  X(uint64_t, shards_contacted, kSum)                                     \
+  X(uint64_t, shards_skipped, kSum)                                       \
+  X(uint64_t, hedges_sent, kSum)                                          \
+  X(uint64_t, hedge_wins, kSum)    /* hedges that beat their primary */   \
+  X(uint64_t, breaker_open, kSum)  /* fan-outs an open breaker refused */ \
+  X(uint64_t, shard_failovers, kSum)                                      \
+  X(uint64_t, filter_elements_pruned, kSum) /* values proved empty */     \
+  X(uint64_t, filter_mbr_pruned, kSum)      /* killed by the MBR bound */ \
+  X(uint64_t, fingerprint_skips, kSum)      /* rows skipped unread */     \
+  X(uint64_t, filter_memory_bytes, kGauge)  /* filter snapshot RAM */     \
+  X(uint64_t, block_cache_hits, kSum)                                     \
+  X(uint64_t, block_cache_misses, kSum)                                   \
+  X(uint64_t, block_cache_fills, kSum)                                    \
+  X(uint64_t, readahead_reads, kSum)                                      \
+  X(uint64_t, readahead_bytes_read, kSum)                                 \
+  X(uint64_t, ingest_watermark, kMax)                                     \
+  X(uint64_t, read_only_replicas, kGauge)
+
 struct QueryMetrics {
-  double pruning_ms = 0.0;    // global pruning (range generation)
-  double scan_ms = 0.0;       // store scan incl. pushdown local filter
-  double refine_ms = 0.0;     // exact similarity computations
-  double total_ms = 0.0;
+#define TRASS_DECLARE_METRIC(type, name, fold) type name{};
+  TRASS_QUERY_METRICS(TRASS_DECLARE_METRIC)
+#undef TRASS_DECLARE_METRIC
 
-  uint64_t scan_ranges = 0;     // key ranges issued to the store
+  /// How Merge folds the kGauge fields. The shards of one fan-out each
+  /// hold their own share of the fleet, so their gauges sum. A query
+  /// that fans out or probes several times re-reads the same fleet, so
+  /// it keeps the value of its first fan-out that reported the gauge
+  /// (zero counts as not reported).
+  enum class Gauges { kSumShards, kKeepFirst };
 
-  /// Index values the query actually submitted to store scans. For the
-  /// threshold/range/join paths this counts the *present* values (ones
-  /// the value directory holds) inside the final scanned ranges — after
-  /// directory intersection and, when enabled, after the filter tier;
-  /// candidate values that were empty or pruned before any scan are
-  /// excluded. For top-k it counts drained index spaces handed to a
-  /// store round-trip (the PR 5 definition), with spaces the filter
-  /// tier pruned at drain time likewise excluded. Either way: an index
-  /// value counts here iff the store was asked to read it.
-  uint64_t index_values = 0;
-  uint64_t retrieved = 0;       // rows scanned in the store (I/O)
-  uint64_t candidates = 0;      // rows surviving local filtering
-  uint64_t refined = 0;         // candidates entering exact refinement
-  uint64_t results = 0;         // final answers
-
-  /// Refinement-engine breakdown (see core/refiner.h). `refined` above
-  /// counts candidates the engine decoded; of those, `lb_rejected` were
-  /// disposed of by the lower-bound cascade without running the O(n*m)
-  /// DP and `refine_dp_runs` ran it. The *_ms fields are summed across
-  /// refine workers (CPU time; with refine_threads > 1 they can exceed
-  /// the wall-clock refine_ms).
-  uint64_t lb_rejected = 0;        // cascade proved dist > bound, DP skipped
-  uint64_t refine_dp_runs = 0;     // exact DP kernels executed
-  uint64_t refine_threads = 0;     // engine parallelism for this query
-  double refine_decode_ms = 0.0;   // row decode + SoA flatten
-  double refine_lb_ms = 0.0;       // lower-bound cascade
-  double refine_dp_ms = 0.0;       // exact DP kernels
-
-  /// Degraded-mode availability (see RegionStore::RegionOptions). When
-  /// `partial` is set, one or more store regions were skipped after
-  /// exhausting retries and the answer may be missing their rows.
-  bool partial = false;
-  uint64_t skipped_regions = 0;  // region-skip events across all scans
-  uint64_t scan_retries = 0;     // scan attempts beyond the first
-
-  /// Replication (see RegionOptions::replication_factor). Failovers are
-  /// reads that moved to another replica of the same shard after a
-  /// fault; a query can fail over and still be complete (not partial),
-  /// which is the whole point of replication.
-  uint64_t replica_failovers = 0;
-
-  /// Cooperative-stop outcome (see QueryOptions). With `allow_partial`
-  /// the query returns OK with `partial` set and the reason recorded
-  /// here; the flags compose with `skipped_regions` (a query can be
-  /// partial for both reasons at once). Without `allow_partial` the
-  /// reason arrives as the returned Status instead.
-  bool deadline_expired = false;   // stopped at QueryOptions::deadline_ms
-  bool cancelled = false;          // stopped via QueryOptions::cancel
-  bool budget_exhausted = false;   // stopped at QueryOptions::max_candidates
-  double admission_wait_ms = 0.0;  // time queued in admission control
-
-  /// Scatter-gather serving tier (serve/coordinator.h). Zero on
-  /// single-store queries. `shards_contacted` counts shards the
-  /// coordinator fanned the query out to; `shards_skipped` counts
-  /// shards whose answer is missing from the merge (breaker-open,
-  /// failed after retries, or unresolved at the deadline) — non-zero
-  /// only with allow_partial, and always accompanied by `partial` so
-  /// degradation is observable, never silent. `hedges_sent`/`hedge_wins`
-  /// count straggler hedge requests and how many beat their primary;
-  /// `breaker_open` counts fan-outs rejected by an open circuit
-  /// breaker during this query.
-  uint64_t shards_contacted = 0;
-  uint64_t shards_skipped = 0;
-  uint64_t hedges_sent = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t breaker_open = 0;
-
-  /// Coordinator-level replica failovers (the shard-topology analog of
-  /// `replica_failovers`): shards whose answer is missing from the
-  /// merge but whose key space was fully covered by replica shards, so
-  /// the merged answer is still complete — `partial` stays false and
-  /// strict queries still succeed. Non-zero only with
-  /// CoordinatorOptions::replication_factor > 1.
-  uint64_t shard_failovers = 0;
-
-  /// Memory-resident filter tier (src/filter/, TrassOptions::filter_tier).
-  /// All zero when the tier is disabled. `filter_elements_pruned` counts
-  /// candidate index values skipped because the element summary index
-  /// proved them empty; `filter_mbr_pruned` counts present values (or,
-  /// in top-k, whole subtrees/spaces) killed by the aggregate-MBR edge
-  /// bound before any scan; `fingerprint_skips` counts rows whose
-  /// per-row fingerprint record proved them misses without reading
-  /// their bytes. `filter_memory_bytes` is a gauge: RAM held by the
-  /// filter snapshot the query consulted (coordinator merges sum the
-  /// per-shard gauges).
-  uint64_t filter_elements_pruned = 0;
-  uint64_t filter_mbr_pruned = 0;
-  uint64_t fingerprint_skips = 0;
-  uint64_t filter_memory_bytes = 0;
-
-  /// Storage-engine I/O breakdown for this query's store scans, summed
-  /// across scan fan-outs (see ScanReport: per-replica IoStats deltas,
-  /// approximate under concurrent compactions/queries on the same
-  /// replica). Hits/misses/fills count block-cache traffic on the
-  /// random-access read path; the readahead counters cover the
-  /// streaming-scan path (Options::scan_readahead_bytes), which bypasses
-  /// the cache by design — a scan-heavy query should show readahead
-  /// traffic and near-zero fills.
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t block_cache_fills = 0;
-  uint64_t readahead_reads = 0;
-  uint64_t readahead_bytes_read = 0;
-
-  /// Ingest watermark snapshot taken when the query started: every
-  /// trajectory with ticket <= this value was fully visible (row +
-  /// features + value-directory entry) to the query; later ingest may or
-  /// may not be observed (see TrassStore::SubmitAsync).
-  uint64_t ingest_watermark = 0;
-
-  /// Replicas wedged read-only by a background error (disk full, write
-  /// fault) when the query started. Non-zero does not make the answer
-  /// partial — read-only replicas still serve reads — but it flags that
-  /// writes are degraded and the answer may predate unresumed ingest.
-  uint64_t read_only_replicas = 0;
+  /// Folds `from` into this query's metrics, field by field per its
+  /// MetricFold.
+  void Merge(const QueryMetrics& from, Gauges gauges) {
+#define TRASS_MERGE_METRIC(type, name, fold) \
+  name = FoldMetric<MetricFold::fold>(name, from.name, gauges);
+    TRASS_QUERY_METRICS(TRASS_MERGE_METRIC)
+#undef TRASS_MERGE_METRIC
+  }
 
   double precision() const {
     return candidates == 0
                ? 1.0
                : static_cast<double>(results) / static_cast<double>(candidates);
+  }
+
+ private:
+  template <MetricFold kFold, typename T>
+  static T FoldMetric(T to, T from, Gauges gauges) {
+    static_assert((kFold == MetricFold::kOr) == std::is_same_v<T, bool>,
+                  "flags fold by OR, and only flags do");
+    if constexpr (kFold == MetricFold::kOr) {
+      return to || from;
+    } else if constexpr (kFold == MetricFold::kMax) {
+      return std::max(to, from);
+    } else if constexpr (kFold == MetricFold::kGauge) {
+      return gauges == Gauges::kSumShards || to == T{} ? to + from : to;
+    } else {
+      return to + from;
+    }
   }
 };
 

@@ -27,11 +27,11 @@ void FoldScanReport(const kv::ScanReport& report, QueryMetrics* m) {
   m->skipped_regions += report.skipped.size();
   m->scan_retries += report.retries;
   m->replica_failovers += report.failovers;
-  m->block_cache_hits += report.cache_hits;
-  m->block_cache_misses += report.cache_misses;
-  m->block_cache_fills += report.cache_fills;
-  m->readahead_reads += report.readahead_reads;
-  m->readahead_bytes_read += report.readahead_bytes_read;
+  m->block_cache_hits += report.io.cache_hits;
+  m->block_cache_misses += report.io.cache_misses;
+  m->block_cache_fills += report.io.cache_fills;
+  m->readahead_reads += report.io.readahead_reads;
+  m->readahead_bytes_read += report.io.readahead_bytes_read;
 }
 
 std::vector<kv::ScanRange> ToScanRanges(
@@ -1087,30 +1087,7 @@ Status TrassStore::SimilarityJoin(
     QueryMetrics probe;
     s = ThresholdSearchInternal(t.points, eps, measure, &control,
                                 /*allow_partial=*/false, &matches, &probe);
-    m->partial = m->partial || probe.partial;
-    m->skipped_regions += probe.skipped_regions;
-    m->scan_retries += probe.scan_retries;
-    m->retrieved += probe.retrieved;
-    m->candidates += probe.candidates;
-    m->refined += probe.refined;
-    m->lb_rejected += probe.lb_rejected;
-    m->refine_dp_runs += probe.refine_dp_runs;
-    m->refine_threads = probe.refine_threads;
-    m->pruning_ms += probe.pruning_ms;
-    m->scan_ms += probe.scan_ms;
-    m->refine_ms += probe.refine_ms;
-    m->refine_decode_ms += probe.refine_decode_ms;
-    m->refine_lb_ms += probe.refine_lb_ms;
-    m->refine_dp_ms += probe.refine_dp_ms;
-    m->filter_elements_pruned += probe.filter_elements_pruned;
-    m->filter_mbr_pruned += probe.filter_mbr_pruned;
-    m->fingerprint_skips += probe.fingerprint_skips;
-    m->filter_memory_bytes = probe.filter_memory_bytes;  // gauge, not a sum
-    m->block_cache_hits += probe.block_cache_hits;
-    m->block_cache_misses += probe.block_cache_misses;
-    m->block_cache_fills += probe.block_cache_fills;
-    m->readahead_reads += probe.readahead_reads;
-    m->readahead_bytes_read += probe.readahead_bytes_read;
+    m->Merge(probe, QueryMetrics::Gauges::kKeepFirst);
     if (s.IsQueryStop()) {
       // Pairs from completed probes are exact; the stopped probe's
       // partial matches are discarded (they could miss pairs).

@@ -272,13 +272,9 @@ Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
   std::vector<char> attempted(n, 0);
   std::vector<int> served(n, -1);
   std::vector<uint32_t> failovers(n, 0);
-  // Cache/readahead deltas per region (each region is scanned by one
-  // worker, so plain slots suffice — same pattern as `failovers`).
-  struct RegionIo {
-    uint64_t hits = 0, misses = 0, fills = 0;
-    uint64_t ra_reads = 0, ra_bytes = 0;
-  };
-  std::vector<RegionIo> region_io(n);
+  // IoStats deltas per region (each region is scanned by one worker, so
+  // plain slots suffice — same pattern as `failovers`).
+  std::vector<IoStats::Snapshot> region_io(n);
   std::atomic<uint64_t> retries{0};
 
   const int attempts = 1 + std::max(0, options_.max_scan_retries);
@@ -328,14 +324,7 @@ Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
           const IoStats::Snapshot before = db->io_stats().Read();
           last = ScanReplicaOnce(db.get(), region, ranges, filter, limit,
                                  control, &per_region[region]);
-          const IoStats::Snapshot after = db->io_stats().Read();
-          region_io[region].hits += after.cache_hits - before.cache_hits;
-          region_io[region].misses += after.cache_misses - before.cache_misses;
-          region_io[region].fills += after.cache_fills - before.cache_fills;
-          region_io[region].ra_reads +=
-              after.readahead_reads - before.readahead_reads;
-          region_io[region].ra_bytes +=
-              after.readahead_bytes_read - before.readahead_bytes_read;
+          region_io[region] += db->io_stats().Read() - before;
         } else {
           last = OfflineStatus();
         }
@@ -408,11 +397,7 @@ Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
     for (size_t region = 0; region < n; ++region) {
       report->regions[region].served_replica = served[region];
       report->regions[region].failovers = failovers[region];
-      report->cache_hits += region_io[region].hits;
-      report->cache_misses += region_io[region].misses;
-      report->cache_fills += region_io[region].fills;
-      report->readahead_reads += region_io[region].ra_reads;
-      report->readahead_bytes_read += region_io[region].ra_bytes;
+      report->io += region_io[region];
     }
   }
   if (!query_stop.ok()) return query_stop;
@@ -781,27 +766,8 @@ IoStats::Snapshot RegionStore::TotalIoStats() const {
     for (int r = 0; r < options_.replication_factor; ++r) {
       std::shared_ptr<DB> db = Replica(i, r);
       if (db == nullptr) continue;
-      const IoStats::Snapshot s = db->io_stats().Read();
-      total.blocks_read += s.blocks_read;
-      total.block_bytes_read += s.block_bytes_read;
-      total.cache_hits += s.cache_hits;
-      total.cache_misses += s.cache_misses;
-      total.cache_fills += s.cache_fills;
-      total.readahead_reads += s.readahead_reads;
-      total.readahead_bytes_read += s.readahead_bytes_read;
-      total.rows_scanned += s.rows_scanned;
-      total.bloom_skips += s.bloom_skips;
-      total.point_gets += s.point_gets;
-      total.range_scans += s.range_scans;
-      total.checksum_verifications += s.checksum_verifications;
-      total.corruptions_detected += s.corruptions_detected;
-      total.background_errors += s.background_errors;
-      total.write_stalls += s.write_stalls;
-      total.stall_ms += s.stall_ms;
-      total.resume_attempts += s.resume_attempts;
+      total += db->io_stats().Read();
       if (db->read_only()) ++total.read_only_replicas;
-      // batch_commits/batch_rows/degraded_writes are store-level counters
-      // (like the failover/scrub ones in store_stats_), not per-replica.
     }
   }
   return total;

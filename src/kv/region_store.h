@@ -100,16 +100,12 @@ struct ScanReport {
   uint64_t failovers = 0;  // replica failovers across all regions
   std::vector<RegionScan> regions;  // indexed by shard
 
-  /// Block-cache and readahead traffic this scan caused, measured as
-  /// before/after deltas of each scanned replica's IoStats and summed
-  /// over regions (failed attempts included — their I/O was real).
-  /// Approximate when compactions or other queries touch the same
-  /// replica concurrently; exact on an otherwise idle store.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_fills = 0;
-  uint64_t readahead_reads = 0;       // readahead window preads issued
-  uint64_t readahead_bytes_read = 0;  // bytes those preads fetched
+  /// I/O this scan caused, measured as before/after deltas of each
+  /// scanned replica's IoStats and summed over regions (failed attempts
+  /// included — their I/O was real). Approximate when compactions or
+  /// other queries touch the same replica concurrently; exact on an
+  /// otherwise idle store.
+  IoStats::Snapshot io;
 
   bool complete() const { return skipped.empty(); }
 };

@@ -10,110 +10,75 @@
 namespace trass {
 namespace kv {
 
+// The IoStats counter list, X(name) once per counter. The atomics,
+// Reset, Snapshot, Read and the Snapshot arithmetic are all generated
+// from it, so a counter is added here and nowhere else.
+#define TRASS_IO_STATS(X)                                               \
+  X(blocks_read)            /* data blocks fetched from disk */         \
+  X(block_bytes_read)       /* payload bytes of those blocks */         \
+  X(cache_hits)             /* data blocks served from cache */         \
+  X(cache_misses)           /* cache lookups that went to disk */       \
+  X(cache_fills)            /* blocks inserted into the cache */        \
+  X(readahead_reads)        /* readahead window preads issued */        \
+  X(readahead_bytes_read)   /* bytes those preads fetched */            \
+  X(rows_scanned)           /* entries yielded to scans */              \
+  X(bloom_skips)            /* tables skipped by bloom */               \
+  X(point_gets)                                                         \
+  X(range_scans)                                                        \
+  X(checksum_verifications) /* blocks CRC-checked */                    \
+  X(corruptions_detected)   /* checksum mismatches */                   \
+  X(replica_failovers)      /* reads moved to another replica */        \
+  X(scrub_rounds)           /* anti-entropy passes started */           \
+  X(replicas_rebuilt)       /* replicas restored from a peer */         \
+  X(batch_commits)          /* group-commit batches applied */          \
+  X(batch_rows)             /* rows inside those batches */             \
+  X(degraded_writes)        /* batches acked by < all replicas */       \
+  X(background_errors)      /* sticky write-path failures */            \
+  X(write_stalls)           /* writes throttled or shed */              \
+  X(stall_ms)               /* total time writes spent stalled */       \
+  X(resume_attempts)        /* Resume() calls (incl. probes) */
+
 struct IoStats {
-  std::atomic<uint64_t> blocks_read{0};       // data blocks fetched from disk
-  std::atomic<uint64_t> block_bytes_read{0};  // payload bytes of those blocks
-  std::atomic<uint64_t> cache_hits{0};        // data blocks served from cache
-  std::atomic<uint64_t> cache_misses{0};      // cache lookups that went to disk
-  std::atomic<uint64_t> cache_fills{0};       // blocks inserted into the cache
-  std::atomic<uint64_t> readahead_reads{0};   // readahead window preads issued
-  std::atomic<uint64_t> readahead_bytes_read{0};  // bytes those preads fetched
-  std::atomic<uint64_t> rows_scanned{0};      // entries yielded to scans
-  std::atomic<uint64_t> bloom_skips{0};       // tables skipped by bloom
-  std::atomic<uint64_t> point_gets{0};
-  std::atomic<uint64_t> range_scans{0};
-  std::atomic<uint64_t> checksum_verifications{0};  // blocks CRC-checked
-  std::atomic<uint64_t> corruptions_detected{0};    // checksum mismatches
-  std::atomic<uint64_t> replica_failovers{0};  // reads moved to another replica
-  std::atomic<uint64_t> scrub_rounds{0};       // anti-entropy passes started
-  std::atomic<uint64_t> replicas_rebuilt{0};   // replicas restored from a peer
-  std::atomic<uint64_t> batch_commits{0};      // group-commit batches applied
-  std::atomic<uint64_t> batch_rows{0};         // rows inside those batches
-  std::atomic<uint64_t> degraded_writes{0};    // batches acked by < all replicas
-  std::atomic<uint64_t> background_errors{0};  // sticky write-path failures
-  std::atomic<uint64_t> write_stalls{0};       // writes throttled or shed
-  std::atomic<uint64_t> stall_ms{0};           // total time writes spent stalled
-  std::atomic<uint64_t> resume_attempts{0};    // Resume() calls (incl. probes)
+#define TRASS_IO_ATOMIC(name) std::atomic<uint64_t> name{0};
+  TRASS_IO_STATS(TRASS_IO_ATOMIC)
+#undef TRASS_IO_ATOMIC
 
   void Reset() {
-    blocks_read = 0;
-    block_bytes_read = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_fills = 0;
-    readahead_reads = 0;
-    readahead_bytes_read = 0;
-    rows_scanned = 0;
-    bloom_skips = 0;
-    point_gets = 0;
-    range_scans = 0;
-    checksum_verifications = 0;
-    corruptions_detected = 0;
-    replica_failovers = 0;
-    scrub_rounds = 0;
-    replicas_rebuilt = 0;
-    batch_commits = 0;
-    batch_rows = 0;
-    degraded_writes = 0;
-    background_errors = 0;
-    write_stalls = 0;
-    stall_ms = 0;
-    resume_attempts = 0;
+#define TRASS_IO_RESET(name) name.store(0);
+    TRASS_IO_STATS(TRASS_IO_RESET)
+#undef TRASS_IO_RESET
   }
 
   struct Snapshot {
-    uint64_t blocks_read;
-    uint64_t block_bytes_read;
-    uint64_t cache_hits;
-    uint64_t cache_misses;
-    uint64_t cache_fills;
-    uint64_t readahead_reads;
-    uint64_t readahead_bytes_read;
-    uint64_t rows_scanned;
-    uint64_t bloom_skips;
-    uint64_t point_gets;
-    uint64_t range_scans;
-    uint64_t checksum_verifications;
-    uint64_t corruptions_detected;
-    uint64_t replica_failovers;
-    uint64_t scrub_rounds;
-    uint64_t replicas_rebuilt;
-    uint64_t batch_commits;
-    uint64_t batch_rows;
-    uint64_t degraded_writes;
-    uint64_t background_errors;
-    uint64_t write_stalls;
-    uint64_t stall_ms;
-    uint64_t resume_attempts;
+#define TRASS_IO_FIELD(name) uint64_t name = 0;
+    TRASS_IO_STATS(TRASS_IO_FIELD)
+#undef TRASS_IO_FIELD
     // Gauge, not a counter: replicas currently wedged read-only. Always
-    // 0 at the DB level; RegionStore::TotalIoStats fills it live.
+    // 0 at the DB level; RegionStore::TotalIoStats fills it live. The
+    // arithmetic below covers the counters only.
     uint64_t read_only_replicas = 0;
+
+    Snapshot& operator+=(const Snapshot& other) {
+#define TRASS_IO_ADD(name) name += other.name;
+      TRASS_IO_STATS(TRASS_IO_ADD)
+#undef TRASS_IO_ADD
+      return *this;
+    }
+    Snapshot& operator-=(const Snapshot& other) {
+#define TRASS_IO_SUB(name) name -= other.name;
+      TRASS_IO_STATS(TRASS_IO_SUB)
+#undef TRASS_IO_SUB
+      return *this;
+    }
+    friend Snapshot operator-(Snapshot a, const Snapshot& b) { return a -= b; }
   };
 
   Snapshot Read() const {
-    return Snapshot{blocks_read.load(),
-                    block_bytes_read.load(),
-                    cache_hits.load(),
-                    cache_misses.load(),
-                    cache_fills.load(),
-                    readahead_reads.load(),
-                    readahead_bytes_read.load(),
-                    rows_scanned.load(),
-                    bloom_skips.load(),
-                    point_gets.load(),
-                    range_scans.load(),
-                    checksum_verifications.load(),
-                    corruptions_detected.load(),
-                    replica_failovers.load(),
-                    scrub_rounds.load(),
-                    replicas_rebuilt.load(),
-                    batch_commits.load(),
-                    batch_rows.load(),
-                    degraded_writes.load(),
-                    background_errors.load(),
-                    write_stalls.load(),
-                    stall_ms.load(),
-                    resume_attempts.load()};
+    Snapshot s;
+#define TRASS_IO_LOAD(name) s.name = name.load();
+    TRASS_IO_STATS(TRASS_IO_LOAD)
+#undef TRASS_IO_LOAD
+    return s;
   }
 };
 

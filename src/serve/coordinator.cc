@@ -45,45 +45,13 @@ Status ResolveStop(const Status& stop, bool allow_partial,
   return Status::OK();
 }
 
-/// Folds one shard's QueryMetrics into the coordinator-level rollup:
-/// counters and CPU times sum, degradation flags OR (a partial shard
-/// answer makes the merged answer partial — never an unreported gap).
-void FoldShardMetrics(const core::QueryMetrics& from, core::QueryMetrics* to) {
-  to->pruning_ms += from.pruning_ms;
-  to->scan_ms += from.scan_ms;
-  to->refine_ms += from.refine_ms;
-  to->scan_ranges += from.scan_ranges;
-  to->index_values += from.index_values;
-  to->retrieved += from.retrieved;
-  to->candidates += from.candidates;
-  to->refined += from.refined;
-  to->lb_rejected += from.lb_rejected;
-  to->refine_dp_runs += from.refine_dp_runs;
-  to->refine_threads = std::max(to->refine_threads, from.refine_threads);
-  to->refine_decode_ms += from.refine_decode_ms;
-  to->refine_lb_ms += from.refine_lb_ms;
-  to->refine_dp_ms += from.refine_dp_ms;
-  to->partial = to->partial || from.partial;
-  to->skipped_regions += from.skipped_regions;
-  to->scan_retries += from.scan_retries;
-  to->replica_failovers += from.replica_failovers;
-  to->deadline_expired = to->deadline_expired || from.deadline_expired;
-  to->cancelled = to->cancelled || from.cancelled;
-  to->budget_exhausted = to->budget_exhausted || from.budget_exhausted;
-  to->admission_wait_ms += from.admission_wait_ms;
-  to->ingest_watermark = std::max(to->ingest_watermark, from.ingest_watermark);
-  to->read_only_replicas += from.read_only_replicas;
-  to->filter_elements_pruned += from.filter_elements_pruned;
-  to->filter_mbr_pruned += from.filter_mbr_pruned;
-  to->fingerprint_skips += from.fingerprint_skips;
-  // Per-shard RAM gauges sum to the fleet's filter footprint.
-  to->filter_memory_bytes += from.filter_memory_bytes;
-  to->block_cache_hits += from.block_cache_hits;
-  to->block_cache_misses += from.block_cache_misses;
-  to->block_cache_fills += from.block_cache_fills;
-  to->readahead_reads += from.readahead_reads;
-  to->readahead_bytes_read += from.readahead_bytes_read;
-}
+// Shard answers fold into the coordinator rollup per field
+// (core/metrics.h): counters sum, flags OR — a partial shard answer makes
+// the merged answer partial, never an unreported gap. Gauges sum across
+// the shards of one fan-out; the join, which fans out once per probe,
+// keeps its first fan-out's.
+constexpr auto kSumShards = core::QueryMetrics::Gauges::kSumShards;
+constexpr auto kKeepFirst = core::QueryMetrics::Gauges::kKeepFirst;
 
 void ArmControl(const core::QueryOptions& options, QueryContext* control) {
   control->SetDeadlineAfterMillis(options.deadline_ms);
@@ -955,7 +923,7 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      m->Merge(slot.response.metrics, kSumShards);
       results->insert(results->end(), slot.response.results.begin(),
                       slot.response.results.end());
     }
@@ -1004,7 +972,7 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      m->Merge(slot.response.metrics, kSumShards);
       results->insert(results->end(), slot.response.results.begin(),
                       slot.response.results.end());
     }
@@ -1052,7 +1020,7 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      m->Merge(slot.response.metrics, kSumShards);
       ids->insert(ids->end(), slot.response.ids.begin(),
                   slot.response.ids.end());
     }
@@ -1097,9 +1065,10 @@ Status ShardCoordinator::SimilarityJoin(
   {
     std::lock_guard<std::mutex> lock(export_state->mu);
     std::unordered_set<uint64_t> seen;
+    core::QueryMetrics fan_out;
     for (QueryState::Slot& slot : export_state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      fan_out.Merge(slot.response.metrics, kSumShards);
       for (core::Trajectory& t : slot.response.trajectories) {
         // Replicated rows export from every live replica; probe each
         // trajectory once.
@@ -1107,6 +1076,7 @@ Status ShardCoordinator::SimilarityJoin(
       }
       slot.response.trajectories.clear();
     }
+    m->Merge(fan_out, kKeepFirst);
   }
   // Probe order is irrelevant (pairs are sorted at the end) but a
   // deterministic order keeps runs reproducible.
@@ -1143,13 +1113,15 @@ Status ShardCoordinator::SimilarityJoin(
       return s;
     }
     std::lock_guard<std::mutex> lock(probe_state->mu);
+    core::QueryMetrics fan_out;
     for (QueryState::Slot& slot : probe_state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      fan_out.Merge(slot.response.metrics, kSumShards);
       for (const core::SearchResult& match : slot.response.results) {
         if (match.id > t.id) pairs->emplace_back(t.id, match.id);
       }
     }
+    m->Merge(fan_out, kKeepFirst);
   }
   std::sort(pairs->begin(), pairs->end());
   // Replicated matches surface once per hosting shard; report each

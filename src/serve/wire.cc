@@ -6,10 +6,10 @@ namespace trass {
 namespace serve {
 namespace {
 
-// v2 adds replication-era fields: request {num_shards, export_primary}
-// and response fingerprints (anti-entropy). A v1 peer fails loudly with
-// Corruption instead of misparsing, per the header contract.
-constexpr uint8_t kWireVersion = 4;  // v4: cache/readahead metric fields
+// v5 encodes every QueryMetrics field, generated from its list; a peer
+// on another version fails loudly with Corruption instead of misparsing,
+// per the header contract.
+constexpr uint8_t kWireVersion = 5;
 
 // Status codes on the wire. Keep in sync with the factories in
 // util/status.h; unknown codes decode as IoError so a skewed peer
@@ -138,76 +138,31 @@ bool GetTrajectories(Slice* input,
   return true;
 }
 
-// The QueryMetrics fields the coordinator folds across shards. Encoded
-// as a fixed field list behind the frame version.
+void PutField(std::string* dst, uint64_t v) { PutVarint64(dst, v); }
+void PutField(std::string* dst, double v) { PutDouble(dst, v); }
+void PutField(std::string* dst, bool v) { dst->push_back(v ? 1 : 0); }
+
+bool GetField(Slice* input, uint64_t* v) { return GetVarint64(input, v); }
+bool GetField(Slice* input, double* v) { return GetDouble(input, v); }
+bool GetField(Slice* input, bool* v) {
+  if (input->empty() || static_cast<uint8_t>((*input)[0]) > 1) return false;
+  *v = (*input)[0] != 0;
+  input->remove_prefix(1);
+  return true;
+}
+
+// Every QueryMetrics field, in the order of its list (core/metrics.h).
 void PutMetrics(const core::QueryMetrics& m, std::string* dst) {
-  PutDouble(dst, m.pruning_ms);
-  PutDouble(dst, m.scan_ms);
-  PutDouble(dst, m.refine_ms);
-  PutDouble(dst, m.total_ms);
-  PutVarint64(dst, m.scan_ranges);
-  PutVarint64(dst, m.index_values);
-  PutVarint64(dst, m.retrieved);
-  PutVarint64(dst, m.candidates);
-  PutVarint64(dst, m.refined);
-  PutVarint64(dst, m.results);
-  PutVarint64(dst, m.lb_rejected);
-  PutVarint64(dst, m.refine_dp_runs);
-  PutVarint64(dst, m.skipped_regions);
-  PutVarint64(dst, m.scan_retries);
-  PutVarint64(dst, m.replica_failovers);
-  PutVarint64(dst, m.ingest_watermark);
-  PutVarint64(dst, m.read_only_replicas);
-  PutVarint64(dst, m.filter_elements_pruned);
-  PutVarint64(dst, m.filter_mbr_pruned);
-  PutVarint64(dst, m.fingerprint_skips);
-  PutVarint64(dst, m.filter_memory_bytes);
-  PutVarint64(dst, m.block_cache_hits);
-  PutVarint64(dst, m.block_cache_misses);
-  PutVarint64(dst, m.block_cache_fills);
-  PutVarint64(dst, m.readahead_reads);
-  PutVarint64(dst, m.readahead_bytes_read);
-  const uint8_t flags = static_cast<uint8_t>(
-      (m.partial ? 1 : 0) | (m.deadline_expired ? 2 : 0) |
-      (m.cancelled ? 4 : 0) | (m.budget_exhausted ? 8 : 0));
-  dst->push_back(static_cast<char>(flags));
+#define TRASS_PUT_METRIC(type, name, fold) PutField(dst, m.name);
+  TRASS_QUERY_METRICS(TRASS_PUT_METRIC)
+#undef TRASS_PUT_METRIC
 }
 
 bool GetMetrics(Slice* input, core::QueryMetrics* m) {
-  if (!GetDouble(input, &m->pruning_ms) || !GetDouble(input, &m->scan_ms) ||
-      !GetDouble(input, &m->refine_ms) || !GetDouble(input, &m->total_ms)) {
-    return false;
-  }
-  if (!GetVarint64(input, &m->scan_ranges) ||
-      !GetVarint64(input, &m->index_values) ||
-      !GetVarint64(input, &m->retrieved) ||
-      !GetVarint64(input, &m->candidates) ||
-      !GetVarint64(input, &m->refined) || !GetVarint64(input, &m->results) ||
-      !GetVarint64(input, &m->lb_rejected) ||
-      !GetVarint64(input, &m->refine_dp_runs) ||
-      !GetVarint64(input, &m->skipped_regions) ||
-      !GetVarint64(input, &m->scan_retries) ||
-      !GetVarint64(input, &m->replica_failovers) ||
-      !GetVarint64(input, &m->ingest_watermark) ||
-      !GetVarint64(input, &m->read_only_replicas) ||
-      !GetVarint64(input, &m->filter_elements_pruned) ||
-      !GetVarint64(input, &m->filter_mbr_pruned) ||
-      !GetVarint64(input, &m->fingerprint_skips) ||
-      !GetVarint64(input, &m->filter_memory_bytes) ||
-      !GetVarint64(input, &m->block_cache_hits) ||
-      !GetVarint64(input, &m->block_cache_misses) ||
-      !GetVarint64(input, &m->block_cache_fills) ||
-      !GetVarint64(input, &m->readahead_reads) ||
-      !GetVarint64(input, &m->readahead_bytes_read)) {
-    return false;
-  }
-  if (input->size() < 1) return false;
-  const uint8_t flags = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
-  m->partial = (flags & 1) != 0;
-  m->deadline_expired = (flags & 2) != 0;
-  m->cancelled = (flags & 4) != 0;
-  m->budget_exhausted = (flags & 8) != 0;
+#define TRASS_GET_METRIC(type, name, fold) \
+  if (!GetField(input, &m->name)) return false;
+  TRASS_QUERY_METRICS(TRASS_GET_METRIC)
+#undef TRASS_GET_METRIC
   return true;
 }
 
@@ -285,6 +240,7 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
     return Malformed("placement fields");
   }
   request->export_primary = static_cast<int64_t>(export_primary_biased) - 1;
+  if (!payload.empty()) return Malformed("request: trailing bytes");
   return Status::OK();
 }
 
@@ -360,6 +316,7 @@ Status DecodeShardResponse(Slice payload, ShardResponse* response,
     payload.remove_prefix(4);
     response->fingerprints.push_back(fp);
   }
+  if (!payload.empty()) return Malformed("response: trailing bytes");
   return Status::OK();
 }
 
@@ -370,7 +327,7 @@ void EncodeTrajectoryList(const std::vector<core::Trajectory>& trajectories,
 
 Status DecodeTrajectoryList(Slice payload,
                             std::vector<core::Trajectory>* trajectories) {
-  if (!GetTrajectories(&payload, trajectories)) {
+  if (!GetTrajectories(&payload, trajectories) || !payload.empty()) {
     return Status::Corruption("wire: malformed trajectory list");
   }
   return Status::OK();

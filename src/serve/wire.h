@@ -5,7 +5,9 @@
 //
 // Frame layout (both directions):
 //   u32 big-endian payload length | payload
-// Payload starts with a version byte; DecodeX reject anything else.
+// Payload starts with a version byte; DecodeX reject anything else, and
+// reject bytes left over after the last field (a peer whose field lists
+// differ fails loudly instead of misparsing).
 //
 // Status crosses the wire as (code byte, message); the code table is
 // private to wire.cc and round-trips every Status constructor in

@@ -64,14 +64,17 @@ CoordinatorOptions FastCoordinatorOptions() {
 /// behind direct transports — the setup every equivalence test shares.
 class Tier {
  public:
-  Tier(const std::string& scratch, size_t num_shards, int refine_threads)
+  Tier(const std::string& scratch, size_t num_shards, int refine_threads,
+       bool filter_tier = false)
       : dir_(scratch) {
-    EXPECT_TRUE(TrassStore::Open(SmallStoreOptions(refine_threads),
-                                 dir_.path() + "/reference", &reference_)
-                    .ok());
+    TrassOptions options = SmallStoreOptions(refine_threads);
+    options.filter_tier.enable = filter_tier;
+    EXPECT_TRUE(
+        TrassStore::Open(options, dir_.path() + "/reference", &reference_)
+            .ok());
     for (size_t i = 0; i < num_shards; ++i) {
       std::unique_ptr<TrassStore> store;
-      EXPECT_TRUE(TrassStore::Open(SmallStoreOptions(refine_threads),
+      EXPECT_TRUE(TrassStore::Open(options,
                                    dir_.path() + "/shard" + std::to_string(i),
                                    &store)
                       .ok());
@@ -225,6 +228,33 @@ void RunEquivalenceSuite(int refine_threads) {
 TEST(CoordinatorEquivalence, SingleRefineThread) { RunEquivalenceSuite(1); }
 
 TEST(CoordinatorEquivalence, ParallelRefine) { RunEquivalenceSuite(8); }
+
+TEST(CoordinatorMetrics, JoinReportsGaugesOncePerQuery) {
+  // The join fans out once per probe; the filter-memory and read-only
+  // gauges describe the tier, not the probe count, so the join reports
+  // what a single threshold search over the same tier reports.
+  Tier tier("coord_join_gauges", 2, 1, /*filter_tier=*/true);
+  tier.BuildCoordinator(FastCoordinatorOptions());
+  const auto data = trass::testing::RandomDataset(29, 60);
+  tier.Load(data);
+
+  std::vector<SearchResult> results;
+  QueryMetrics search;
+  ASSERT_TRUE(tier.coordinator()
+                  ->ThresholdSearch(data[0].points, 0.02, Measure::kFrechet,
+                                    &results, &search)
+                  .ok());
+  ASSERT_GT(search.filter_memory_bytes, 0u);
+
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  QueryMetrics join;
+  ASSERT_TRUE(tier.coordinator()
+                  ->SimilarityJoin(0.02, Measure::kFrechet, &pairs, &join)
+                  .ok());
+  EXPECT_EQ(join.filter_memory_bytes, search.filter_memory_bytes);
+  EXPECT_EQ(join.read_only_replicas, search.read_only_replicas);
+  tier.Reset();
+}
 
 // ---------------------------------------------------------------------------
 // Deterministic fault behaviors

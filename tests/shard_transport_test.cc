@@ -251,6 +251,80 @@ TEST(WireTest, TrajectoryListRoundTrips) {
           .IsCorruption());
 }
 
+// A distinct non-zero value per metric field, so a field that is not
+// encoded, or decodes into a neighbour's slot, shows.
+void SetDistinct(uint64_t i, uint64_t* v) { *v = 1000 * (i + 1); }
+void SetDistinct(uint64_t i, double* v) { *v = 0.5 + static_cast<double>(i); }
+void SetDistinct(uint64_t, bool* v) { *v = true; }
+
+ShardResponse FullyPopulatedResponse() {
+  ShardResponse response;
+  response.results = {{11, 0.25}, {13, 0.5}};
+  response.ids = {3, 5};
+  Trajectory t;
+  t.id = 9;
+  t.points = {{0.4, 0.4}};
+  response.trajectories.push_back(t);
+  response.fingerprints.push_back({2, 41, 0xdeadbeef});
+  uint64_t i = 0;
+#define TRASS_SET_METRIC(type, name, fold) \
+  SetDistinct(i++, &response.metrics.name);
+  TRASS_QUERY_METRICS(TRASS_SET_METRIC)
+#undef TRASS_SET_METRIC
+  return response;
+}
+
+TEST(WireTest, ResponseRoundTripsEveryMetricField) {
+  const ShardResponse response = FullyPopulatedResponse();
+  std::string payload;
+  EncodeShardResponse(response, Status::Busy("shed"), &payload);
+  ShardResponse decoded;
+  Status exec;
+  ASSERT_TRUE(DecodeShardResponse(Slice(payload), &decoded, &exec).ok());
+  EXPECT_TRUE(exec.IsBusy());
+#define TRASS_EXPECT_METRIC(type, name, fold) \
+  EXPECT_EQ(decoded.metrics.name, response.metrics.name) << #name;
+  TRASS_QUERY_METRICS(TRASS_EXPECT_METRIC)
+#undef TRASS_EXPECT_METRIC
+
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_TRUE(DecodeShardResponse(Slice(payload.data(), cut), &decoded,
+                                    &exec)
+                    .IsCorruption())
+        << "accepted a " << cut << "-byte prefix";
+  }
+}
+
+TEST(WireTest, RejectsTrailingBytes) {
+  // A byte past the last field means the peers disagree on the layout.
+  ShardRequest request;
+  request.op = ShardOp::kThreshold;
+  request.query = {{0.1, 0.2}};
+  std::string payload;
+  EncodeShardRequest(request, &payload);
+  payload.push_back('\0');
+  ShardRequest decoded_request;
+  EXPECT_TRUE(
+      DecodeShardRequest(Slice(payload), &decoded_request).IsCorruption());
+
+  EncodeShardResponse(FullyPopulatedResponse(), Status::OK(), &payload);
+  payload.push_back('\0');
+  ShardResponse decoded_response;
+  Status exec;
+  EXPECT_TRUE(DecodeShardResponse(Slice(payload), &decoded_response, &exec)
+                  .IsCorruption());
+
+  std::vector<Trajectory> rows(1);
+  rows[0].id = 17;
+  rows[0].points = {{0.1, 0.2}};
+  payload.clear();
+  EncodeTrajectoryList(rows, &payload);
+  payload.push_back('\0');
+  std::vector<Trajectory> decoded_rows;
+  EXPECT_TRUE(
+      DecodeTrajectoryList(Slice(payload), &decoded_rows).IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // Circuit breaker
 

@@ -319,6 +319,36 @@ TEST_F(TrassStoreTest, SimilarityJoinMatchesBruteForce) {
   EXPECT_GT(got.size(), 0u);  // the dataset must exercise the join
 }
 
+TEST_F(TrassStoreTest, SimilarityJoinCountersSumItsProbes) {
+  // The join probes the index once per stored trajectory; on an idle
+  // store its scan counters are exactly those of running each probe as
+  // its own threshold search (the join's full scan adds none of them).
+  OpenStore();
+  const auto data = trass::testing::RandomDataset(16, 80);
+  Load(data);
+  const double eps = 0.01;
+  QueryMetrics sum;
+  for (const Trajectory& t : data) {
+    std::vector<SearchResult> results;
+    QueryMetrics m;
+    ASSERT_TRUE(store_
+                    ->ThresholdSearch(t.points, eps, Measure::kFrechet,
+                                      &results, &m)
+                    .ok());
+    sum.scan_ranges += m.scan_ranges;
+    sum.index_values += m.index_values;
+    sum.retrieved += m.retrieved;
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  QueryMetrics join;
+  ASSERT_TRUE(
+      store_->SimilarityJoin(eps, Measure::kFrechet, &pairs, &join).ok());
+  EXPECT_GT(sum.scan_ranges, 0u);
+  EXPECT_EQ(join.scan_ranges, sum.scan_ranges);
+  EXPECT_EQ(join.index_values, sum.index_values);
+  EXPECT_EQ(join.retrieved, sum.retrieved);
+}
+
 TEST_F(TrassStoreTest, RejectsEmptyTrajectory) {
   OpenStore();
   Trajectory empty;
